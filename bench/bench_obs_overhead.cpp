@@ -3,7 +3,7 @@
 // engine, metrics) and once with all of it off — and gates the median
 // virtual per-frame latency delta under 5%. A second arm repeats the
 // contrast for the kernel profiler (obs/profile.h): collection scope on
-// vs. suppressed, same budget.
+// vs. no profiler observing at all, same budget.
 //
 // The observability layer charges no virtual time, so on the simulator
 // the delta is deterministically 0: this gate fires if instrumentation
@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <future>
 
 #include "serve/service.h"
 
@@ -69,6 +70,7 @@ int main(int argc, char** argv) {
   preset.shot_frames = std::max(1, frames / 6);
   const video::SyntheticTrailer trailer(preset);
   const video::MockH264Decoder decoder(trailer);
+  const ingest::H264FrameSource source(decoder);
   const auto plan =
       serve::FaultPlan::parse(faults, static_cast<std::uint64_t>(seed));
 
@@ -86,12 +88,12 @@ int main(int argc, char** argv) {
 
     core::Stopwatch on_watch;
     serve::StreamingService on(spec, pair.ours, {}, on_opts, &run.metrics());
-    const serve::ServiceReport with_obs = on.run(decoder, frames, &plan);
+    const serve::ServiceReport with_obs = on.run(source, frames, &plan);
     const double on_host_s = on_watch.elapsed_seconds();
 
     core::Stopwatch off_watch;
     serve::StreamingService off(spec, pair.ours, {}, off_opts, nullptr);
-    const serve::ServiceReport without_obs = off.run(decoder, frames, &plan);
+    const serve::ServiceReport without_obs = off.run(source, frames, &plan);
     const double off_host_s = off_watch.elapsed_seconds();
 
     FDET_CHECK(with_obs.frames.size() == without_obs.frames.size())
@@ -143,31 +145,37 @@ int main(int argc, char** argv) {
         << delta_pct << "% exceeds the " << budget_pct << "% budget";
 
     // Kernel-profiler arm of the same gate: the obs-off service once
-    // under an explicit collection scope, once with profiling suppressed
-    // (an empty hook shadows RunRecorder's ambient collector). The
-    // profiler observes launches strictly after their cost is computed,
-    // so the virtual latencies must be bit-identical.
+    // under an explicit collection scope, once with no profiler observing
+    // at all. RunRecorder's ambient collector sits on this thread's
+    // launch-observer stack, so the profiler-off pass runs on its own
+    // thread, whose stack is empty. The profiler observes launches
+    // strictly after their cost is computed, so the virtual latencies
+    // must be bit-identical.
     obs::KernelProfiler profiler;
     std::vector<double> prof_on_ms;
     {
       const obs::ScopedProfileCollection prof_scope(profiler);
       serve::StreamingService svc(spec, pair.ours, {}, off_opts, nullptr);
-      const serve::ServiceReport r = svc.run(decoder, frames, &plan);
+      const serve::ServiceReport r = svc.run(source, frames, &plan);
       for (const serve::ServedFrame& frame : r.frames) {
         prof_on_ms.push_back(frame.latency_ms);
       }
     }
+    const std::uint64_t ambient_before = run.profiler().launches();
+    const std::uint64_t explicit_before = profiler.launches();
     std::vector<double> prof_off_ms;
-    {
-      const vgpu::ScopedKernelProfileHook suppress(nullptr);
+    std::async(std::launch::async, [&] {
       serve::StreamingService svc(spec, pair.ours, {}, off_opts, nullptr);
-      const serve::ServiceReport r = svc.run(decoder, frames, &plan);
+      const serve::ServiceReport r = svc.run(source, frames, &plan);
       for (const serve::ServedFrame& frame : r.frames) {
         prof_off_ms.push_back(frame.latency_ms);
       }
-    }
+    }).get();
     FDET_CHECK(profiler.launches() > 0)
         << "profiler-on pass observed no kernel launches";
+    FDET_CHECK(run.profiler().launches() == ambient_before &&
+               profiler.launches() == explicit_before)
+        << "a profiler observed the profiler-off pass";
     const double prof_on_median = median(prof_on_ms);
     const double prof_off_median = median(prof_off_ms);
     const double prof_delta_pct =

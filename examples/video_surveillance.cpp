@@ -202,9 +202,14 @@ int main(int argc, char** argv) {
       std::printf("device fault plan: %s\n", mixed.device.describe().c_str());
     }
 
-    const serve::FleetReport report =
-        fleet.run(mixed.device.empty() ? nullptr : &mixed.device,
-                  mixed.frame.empty() ? nullptr : &mixed.frame);
+    serve::FleetReport report;
+    try {
+      report = fleet.run(mixed.device.empty() ? nullptr : &mixed.device,
+                         mixed.frame.empty() ? nullptr : &mixed.frame);
+    } catch (const core::CheckError& error) {
+      std::fprintf(stderr, "fleet run rejected: %s\n", error.what());
+      return 1;
+    }
 
     std::printf("\nper-tenant summary:\n");
     for (const serve::TenantReport& tenant : report.tenants) {

@@ -342,8 +342,7 @@ std::vector<RawKernelCapture> CaptureEngine::take_captures() {
   return std::exchange(captures_, {});
 }
 
-CaptureScope::CaptureScope(CaptureOptions options)
-    : engine_(options), installer_(&engine_) {}
+CaptureScope::CaptureScope(CaptureOptions options) : engine_(options) {}
 
 // ---------------------------------------------------------------------------
 // Affine fitting

@@ -1,7 +1,8 @@
 // Symbolic capture mode for vgpu kernels (layer 1 of the static analyzer).
 //
-// A CaptureScope installs a CaptureEngine as the thread's vgpu::LaunchTap:
-// every execute_kernel launch until the scope closes is recorded — lane by
+// A CaptureScope pushes a CaptureEngine (a vgpu::LaunchTap) onto the
+// thread's launch-observer stack: every execute_kernel launch until the
+// scope closes is recorded — lane by
 // lane, slot by slot — into a RawKernelCapture. Production kernels need no
 // rewrites: the engine taps the exact instrumentation the checker already
 // uses (LaneCtx attribution, SharedMem carves, the PhaseFn barrier
@@ -18,9 +19,10 @@
 // patterns (extrapolatable to every lane of every block) from indirect,
 // input-driven ones (never extrapolated).
 //
-// Precedence (vgpu/tap.h): if a CheckScope is active around a launch, the
-// checker wins and the engine only counts the launch as shadowed — the
-// resulting capture set is incomplete and fdet_lint reports it as such.
+// Precedence (vgpu/tap.h): the innermost tap owns a launch. If a
+// CheckScope is opened inside the capture scope, the checker owns its
+// launches and the engine only counts them as shadowed — the resulting
+// capture set is incomplete and fdet_lint reports it as such.
 #pragma once
 
 #include <cstdint>
@@ -124,8 +126,8 @@ class CaptureEngine : public vgpu::LaunchTap {
 
   const std::vector<RawKernelCapture>& captures() const { return captures_; }
   std::vector<RawKernelCapture> take_captures();
-  /// Launches that ran while a checker shadowed this engine (tap
-  /// precedence) — nonzero means the capture set is incomplete.
+  /// Launches owned by a tap opened further in (tap precedence) —
+  /// nonzero means the capture set is incomplete.
   int shadowed_launches() const { return shadowed_launches_; }
 
  private:
@@ -136,7 +138,8 @@ class CaptureEngine : public vgpu::LaunchTap {
   Impl* impl_;  ///< in-flight launch state
 };
 
-/// RAII: installs a CaptureEngine as the calling thread's launch tap.
+/// RAII: pushes a CaptureEngine onto the calling thread's launch-observer
+/// stack.
 class CaptureScope {
  public:
   explicit CaptureScope(CaptureOptions options = {});
@@ -149,7 +152,7 @@ class CaptureScope {
 
  private:
   CaptureEngine engine_;
-  vgpu::ScopedLaunchTap installer_;
+  vgpu::ScopedLaunchObserver installer_{engine_};
 };
 
 /// Condenses one raw capture into a KernelIR: affine fit + verification
@@ -168,7 +171,7 @@ KernelIR merge_captures(const RawKernelCapture& seed_a,
 /// Convenience harness: runs `driver` once per data seed under a capture
 /// scope and returns one merged IR per launch the driver performed, in
 /// launch order. `shadowed` (optional) receives the total count of
-/// launches lost to checker precedence.
+/// launches lost to tap precedence.
 std::vector<KernelIR> capture_kernels(
     const std::function<void(std::uint64_t seed)>& driver,
     std::uint64_t seed_a = 0x5eed0001, std::uint64_t seed_b = 0x5eed0002,

@@ -163,8 +163,8 @@ const char* KernelProfile::roofline_bound(double ridge) const {
   return arithmetic_intensity() < ridge ? "memory" : "compute";
 }
 
-void KernelProfiler::on_launch(const vgpu::DeviceSpec& spec,
-                               const vgpu::LaunchCost& cost) {
+void KernelProfiler::after_launch(const vgpu::DeviceSpec& spec,
+                                  const vgpu::LaunchCost& cost) {
   ridge_ops_per_byte_ = ridge_of(spec);
 
   const double cycles = cost.total_service_cycles;
@@ -255,12 +255,6 @@ void KernelProfiler::reset() {
   stages_.clear();
   frames_.clear();
 }
-
-ScopedProfileCollection::ScopedProfileCollection(KernelProfiler& profiler)
-    : hook_([&profiler](const vgpu::DeviceSpec& spec,
-                        const vgpu::LaunchCost& cost) {
-        profiler.on_launch(spec, cost);
-      }) {}
 
 const KernelProfile* ProfileRecord::find_kernel(std::string_view name) const {
   for (const KernelProfile& kernel : kernels) {

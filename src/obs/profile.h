@@ -1,8 +1,9 @@
 // Kernel profiler and performance attribution: the "why is it slow"
 // half of the observability loop.
 //
-// A KernelProfiler subscribes to every vgpu kernel launch through the
-// executor's ScopedKernelProfileHook seam and aggregates, per kernel
+// A KernelProfiler is a vgpu::LaunchObserver: pushed onto the thread's
+// launch-observer stack (vgpu/tap.h), it sees every kernel launch issued in
+// its scope after the cost is final, and aggregates, per kernel
 // *base name* (the per-scale `_s<N>` suffix stripped, so `cascade_s0`
 // ... `cascade_s7` roll up into one `cascade` row):
 //
@@ -179,12 +180,13 @@ struct ProfileRecord {
 
 /// Collects launches into per-kernel / per-stage / per-frame aggregates.
 /// Not thread-safe: install on the thread issuing the launches (the
-/// executor's hook seam is thread-local anyway).
-class KernelProfiler {
+/// launch-observer stack is thread-local anyway).
+class KernelProfiler : public vgpu::LaunchObserver {
  public:
-  /// Feeds one finished launch (the hook target). Reads the ambient
-  /// ProfileStageScope and TraceContext for attribution.
-  void on_launch(const vgpu::DeviceSpec& spec, const vgpu::LaunchCost& cost);
+  /// Feeds one finished launch. Reads the ambient ProfileStageScope and
+  /// TraceContext for attribution.
+  void after_launch(const vgpu::DeviceSpec& spec,
+                    const vgpu::LaunchCost& cost) override;
 
   std::uint64_t launches() const { return launches_; }
   double total_cycles() const { return total_cycles_; }
@@ -207,16 +209,10 @@ class KernelProfiler {
   std::vector<AttributionBucket> frames_;     // insertion order
 };
 
-/// RAII collection window: installs `profiler` as the thread's kernel
-/// profile hook for the scope's lifetime. Nests like the underlying hook
-/// (innermost profiler observes the launches).
-class ScopedProfileCollection {
- public:
-  explicit ScopedProfileCollection(KernelProfiler& profiler);
-
- private:
-  vgpu::ScopedKernelProfileHook hook_;
-};
+/// RAII collection window: pushes a profiler onto the calling thread's
+/// launch-observer stack for the scope's lifetime. Nested windows each
+/// see every launch in their scope.
+using ScopedProfileCollection = vgpu::ScopedLaunchObserver;
 
 /// Canonical on-disk name: `PROFILE_<artifact>.json`.
 std::string profile_record_path(const std::string& artifact);

@@ -1,11 +1,11 @@
 #include "serve/faults.h"
 
 #include <algorithm>
-#include <memory>
 #include <sstream>
 
 #include "core/check.h"
 #include "core/rng.h"
+#include "vgpu/scheduler.h"
 
 namespace fdet::serve {
 namespace {
@@ -185,45 +185,53 @@ void corrupt_luma(img::ImageU8& luma, std::uint64_t seed) {
   }
 }
 
-vgpu::LaunchFaultHook make_launch_fault_hook(const FaultPlan& plan, int frame,
-                                             int attempt) {
-  const bool transient =
-      plan.fires(FaultKind::kLaunchTransient, frame, attempt);
-  const bool constant = plan.fires(FaultKind::kConstantOverflow, frame, attempt);
-  const bool shared = plan.fires(FaultKind::kSharedOverflow, frame, attempt);
-  if (!transient && !constant && !shared) {
-    return {};
+AttemptObserver::AttemptObserver(const FaultPlan* plan, int frame,
+                                 int attempt, obs::FlightRecorder* recorder,
+                                 double base_us)
+    : frame_(frame), attempt_(attempt), recorder_(recorder),
+      base_us_(base_us) {
+  if (plan != nullptr) {
+    transient_ = plan->fires(FaultKind::kLaunchTransient, frame, attempt);
+    constant_ = plan->fires(FaultKind::kConstantOverflow, frame, attempt);
+    shared_ = plan->fires(FaultKind::kSharedOverflow, frame, attempt);
   }
-  // One injected failure per armed attempt: the first matching launch
-  // throws, the retry re-arms with attempt+1.
-  auto fired = std::make_shared<bool>(false);
-  return [=](const vgpu::KernelConfig& config) {
-    if (*fired) {
-      return;
-    }
-    if (transient) {
-      *fired = true;
-      throw vgpu::LaunchError("injected transient launch failure on '" +
-                                  config.name + "' (frame " +
-                                  std::to_string(frame) + ", attempt " +
-                                  std::to_string(attempt) + ")",
-                              /*transient=*/true);
-    }
-    if (constant && config.constant_bytes > 0) {
-      *fired = true;
-      throw vgpu::LaunchError("injected constant-memory overflow on '" +
-                                  config.name + "' (frame " +
-                                  std::to_string(frame) + ")",
-                              /*transient=*/false);
-    }
-    if (shared && config.shared_bytes > 0) {
-      *fired = true;
-      throw vgpu::LaunchError("injected shared-memory overflow on '" +
-                                  config.name + "' (frame " +
-                                  std::to_string(frame) + ")",
-                              /*transient=*/false);
-    }
-  };
+}
+
+void AttemptObserver::before_launch(const vgpu::KernelConfig& config) {
+  const char* fault = nullptr;
+  if (transient_) {
+    fault = "transient launch failure";
+  } else if (constant_ && config.constant_bytes > 0) {
+    fault = "constant-memory overflow";
+  } else if (shared_ && config.shared_bytes > 0) {
+    fault = "shared-memory overflow";
+  }
+  if (fired_ || fault == nullptr) {
+    return;
+  }
+  fired_ = true;
+  throw vgpu::LaunchError(
+      std::string("injected ") + fault + " on '" + config.name + "' (frame " +
+          std::to_string(frame_) +
+          (transient_ ? ", attempt " + std::to_string(attempt_) : "") + ")",
+      transient_);
+}
+
+void AttemptObserver::on_scheduled(const vgpu::LaunchRecord& record) {
+  if (recorder_ == nullptr) {
+    return;
+  }
+  obs::FlightEvent event;
+  event.kind = obs::FlightEventKind::kLaunch;
+  event.frame = frame_;
+  event.ts_us = base_us_ + record.start_s * 1e6;
+  event.dur_us = record.duration_s() * 1e6;
+  event.value = static_cast<double>(record.blocks);
+  event.set_name(record.name.c_str());
+  if (const obs::TraceContext* context = obs::current_trace_context()) {
+    event.set_context(*context);
+  }
+  recorder_->record(event);
 }
 
 const char* device_fault_kind_name(DeviceFaultKind kind) {

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "img/image.h"
+#include "obs/recorder.h"
 #include "vgpu/kernel.h"
 
 namespace fdet::serve {
@@ -101,13 +102,35 @@ class FaultPlan {
 /// seeded noise — the corruption model for FaultKind::kCorruptLuma.
 void corrupt_luma(img::ImageU8& luma, std::uint64_t seed);
 
-/// Builds the vgpu launch-fault hook arming the plan's launch-stage faults
-/// for one (frame, attempt). Returns an empty function when nothing fires.
-/// The hook throws vgpu::LaunchError: transient for kLaunchTransient, hard
-/// for the overflow kinds (thrown on the first launch that actually uses
-/// constant or shared memory, respectively).
-vgpu::LaunchFaultHook make_launch_fault_hook(const FaultPlan& plan, int frame,
-                                             int attempt);
+/// The serving layer's launch observer (vgpu/tap.h) for one detect
+/// attempt of one frame. It arms the plan's launch-stage faults for
+/// (frame, attempt): before_launch throws vgpu::LaunchError, transient for
+/// kLaunchTransient and hard for the overflow kinds (thrown on the first
+/// launch that actually uses constant or shared memory, respectively), at
+/// most once per attempt — the retry pushes a fresh observer for
+/// attempt+1. With a flight recorder it also stamps every scheduled launch
+/// of the attempt, in virtual time relative to `base_us` (the detect
+/// stage's start), under the ambient trace context.
+class AttemptObserver final : public vgpu::LaunchObserver {
+ public:
+  /// `plan` and `recorder` may be null (no faults / no stamps).
+  AttemptObserver(const FaultPlan* plan, int frame, int attempt,
+                  obs::FlightRecorder* recorder = nullptr,
+                  double base_us = 0.0);
+
+  void before_launch(const vgpu::KernelConfig& config) override;
+  void on_scheduled(const vgpu::LaunchRecord& record) override;
+
+ private:
+  int frame_;
+  int attempt_;
+  bool transient_ = false;
+  bool constant_ = false;
+  bool shared_ = false;
+  bool fired_ = false;
+  obs::FlightRecorder* recorder_;
+  double base_us_;
+};
 
 // ---------------------------------------------------------------------------
 // Device-level fault vocabulary (fleet layer, DESIGN.md §12).

@@ -252,7 +252,6 @@ struct FleetScheduler::Sim {
 
   std::map<std::pair<const void*, int>, DecodeEntry> decode_cache;
   std::map<std::pair<std::uint64_t, int>, DetectEntry> detect_cache;
-  const img::ImageU8* probe_luma = nullptr;  ///< any decoded luma (seam probe)
 
   FleetFrame& rec(int stream, int frame) {
     return report.frames[static_cast<std::size_t>(offsets[
@@ -575,12 +574,7 @@ struct FleetScheduler::Sim {
     entry.decode_ms = decoded.decode_ms;
     entry.luma = std::move(decoded.frame.luma());
     entry.digest = luma_digest(entry.luma);
-    DecodeEntry& stored = decode_cache.emplace(key, std::move(entry))
-                              .first->second;
-    if (probe_luma == nullptr) {
-      probe_luma = &stored.luma;
-    }
-    return stored;
+    return decode_cache.emplace(key, std::move(entry)).first->second;
   }
 
   const DetectEntry& detect_entry(std::uint64_t digest, int level,
@@ -716,7 +710,7 @@ struct FleetScheduler::Sim {
     host->flight(obs::FlightEventKind::kFault, -1, d, t * 1e6, "fault", kind,
                  static_cast<double>(d));
     if (!dev.batch.empty()) {
-      inject_via_launch_seam(d, kind);
+      host->count("serve.fleet.faults.injected", {{"kind", kind}});
       for (const BatchItem& item : dev.batch) {
         FleetFrame& r = rec(item.stream, item.frame);
         r.fault_injected = true;
@@ -806,32 +800,6 @@ struct FleetScheduler::Sim {
     for (const int target : targets) {
       maybe_dispatch(target, t);
     }
-  }
-
-  /// Routes the device loss through the vgpu launch seam: one pipeline
-  /// launch under a hook that throws LaunchError, so the fault exercises
-  /// the exact path a real mid-kernel device failure would take.
-  void inject_via_launch_seam(int d, const char* kind) {
-    if (probe_luma == nullptr) {
-      return;  // nothing ever decoded; the loss hit an idle fleet
-    }
-    bool surfaced = false;
-    {
-      const std::string what = std::string("injected ") + kind +
-                               " on virtual device " + std::to_string(d);
-      vgpu::ScopedLaunchFaultHook hook(
-          [&what](const vgpu::KernelConfig&) {
-            throw vgpu::LaunchError(what, /*transient=*/true);
-          });
-      try {
-        host->pipeline_for_level(0).process(*probe_luma);
-      } catch (const vgpu::LaunchError&) {
-        surfaced = true;
-      }
-    }
-    FDET_CHECK(surfaced) << "device fault did not surface through the "
-                            "vgpu launch seam";
-    host->count("serve.fleet.faults.injected", {{"kind", kind}});
   }
 
   int stream_load(int d) const {
@@ -956,22 +924,12 @@ int FleetScheduler::add_stream(int tenant, const ingest::FrameSource& source,
 }
 
 const detect::Pipeline& FleetScheduler::pipeline_for_level(int level) {
-  auto it = pipelines_.find(level);
-  if (it == pipelines_.end()) {
-    const DegradationStep& step = DegradationLadder::step_at(level);
-    detect::PipelineOptions options = base_;
-    options.skip_finest_levels =
-        base_.skip_finest_levels + step.skip_finest_levels;
-    options.min_neighbors = base_.min_neighbors + step.min_neighbors_boost;
-    if (step.serial_exec) {
-      options.mode = vgpu::ExecMode::kSerial;
-    }
-    it = pipelines_
-             .emplace(level, std::make_unique<detect::Pipeline>(
-                                 spec_, cascade_, options))
-             .first;
+  std::unique_ptr<detect::Pipeline>& pipeline = pipelines_[level];
+  if (!pipeline) {
+    pipeline = std::make_unique<detect::Pipeline>(
+        spec_, cascade_, pipeline_options_at(base_, level));
   }
-  return *it->second;
+  return *pipeline;
 }
 
 void FleetScheduler::count(const char* name, const obs::Labels& labels,
@@ -1018,6 +976,22 @@ FleetReport FleetScheduler::run(const DeviceFaultPlan* device_plan,
       FDET_CHECK(spec.device < options_.devices)
           << "device fault targets device " << spec.device
           << " but the fleet has " << options_.devices;
+    }
+  }
+
+  if (frame_plan != nullptr) {
+    // The fleet models decode-side frame faults only; launch-stage kinds
+    // would need a real per-frame pipeline attempt, which cached detection
+    // never makes.
+    for (const FaultSpec& spec : frame_plan->specs()) {
+      if (spec.kind != FaultKind::kDecodeFail &&
+          spec.kind != FaultKind::kCorruptLuma &&
+          spec.kind != FaultKind::kBitstream) {
+        throw core::CheckError(
+            std::string("fleet frame fault plans do not support '") +
+            fault_kind_name(spec.kind) +
+            "' faults; supported kinds: decode, corrupt, bitstream");
+      }
     }
   }
 

@@ -14,9 +14,7 @@
 //     health (healthy -> lost -> probation, mirroring CircuitBreaker)
 //     and stream failover — streams on a lost device migrate to healthy
 //     devices, preserving per-stream frame order and detection
-//     identity; the loss itself is injected through the vgpu
-//     launch-hook seam so the fault travels the same path a real
-//     launch failure would;
+//     identity;
 //   * fleet-wide load shedding composing with the per-stream
 //     DegradationLadder: one shared overload signal (aggregate queue
 //     depth + the SLO engine's deadline burn rate) walks whole QoS
@@ -260,7 +258,9 @@ class FleetScheduler {
   /// Runs the whole fleet to completion under optional device-level and
   /// frame-level fault plans. Resets all per-run state (ladders, health,
   /// buckets, caches) so consecutive runs are independent and a faulted
-  /// run can be compared against its clean twin.
+  /// run can be compared against its clean twin. The frame plan may hold
+  /// decode, corrupt and bitstream faults only; any other kind throws
+  /// core::CheckError naming it.
   FleetReport run(const DeviceFaultPlan* device_plan = nullptr,
                   const FaultPlan* frame_plan = nullptr);
 

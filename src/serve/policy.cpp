@@ -93,6 +93,19 @@ const DegradationStep& DegradationLadder::step_at(int level) {
   return kLadder[static_cast<std::size_t>(level)];
 }
 
+detect::PipelineOptions pipeline_options_at(const detect::PipelineOptions& base,
+                                            int level) {
+  const DegradationStep& step = DegradationLadder::step_at(level);
+  detect::PipelineOptions options = base;
+  options.skip_finest_levels =
+      base.skip_finest_levels + step.skip_finest_levels;
+  options.min_neighbors = base.min_neighbors + step.min_neighbors_boost;
+  if (step.serial_exec) {
+    options.mode = vgpu::ExecMode::kSerial;
+  }
+  return options;
+}
+
 void DegradationLadder::observe(double latency_ms) {
   if (latency_ms > deadline_ms_) {
     good_streak_ = 0;

@@ -24,7 +24,7 @@
 #include <string>
 
 #include "core/rng.h"
-#include "vgpu/scheduler.h"
+#include "detect/pipeline.h"
 
 namespace fdet::serve {
 
@@ -159,5 +159,11 @@ class DegradationLadder {
   int shifts_ = 0;
   const char* last_cause_ = "";
 };
+
+/// The pipeline configuration of ladder rung `level`, derived from the
+/// level-0 configuration `base` — what the single-stream service and the
+/// fleet both build their per-level pipelines from.
+detect::PipelineOptions pipeline_options_at(const detect::PipelineOptions& base,
+                                            int level);
 
 }  // namespace fdet::serve

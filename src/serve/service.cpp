@@ -158,22 +158,12 @@ void StreamingService::write_dumps(const ServedFrame& sf,
 }
 
 const detect::Pipeline& StreamingService::pipeline_for_level(int level) {
-  auto it = pipelines_.find(level);
-  if (it == pipelines_.end()) {
-    const DegradationStep& step = DegradationLadder::step_at(level);
-    detect::PipelineOptions options = base_;
-    options.skip_finest_levels = base_.skip_finest_levels +
-                                 step.skip_finest_levels;
-    options.min_neighbors = base_.min_neighbors + step.min_neighbors_boost;
-    if (step.serial_exec) {
-      options.mode = vgpu::ExecMode::kSerial;
-    }
-    it = pipelines_
-             .emplace(level, std::make_unique<detect::Pipeline>(
-                                 spec_, cascade_, options))
-             .first;
+  std::unique_ptr<detect::Pipeline>& pipeline = pipelines_[level];
+  if (!pipeline) {
+    pipeline = std::make_unique<detect::Pipeline>(
+        spec_, cascade_, pipeline_options_at(base_, level));
   }
-  return *it->second;
+  return *pipeline;
 }
 
 void StreamingService::reset() {
@@ -383,23 +373,10 @@ ServedFrame StreamingService::serve_frame(
   const int detect_retries_before = sf.retries;
   int attempt = 0;
   while (true) {
-    std::optional<vgpu::ScopedLaunchFaultHook> hook;
-    if (plan != nullptr) {
-      hook.emplace(make_launch_fault_hook(*plan, index, attempt));
-    }
-    // Stamp every kernel launch of this attempt into the flight recorder,
-    // in virtual time relative to the detect stage's start.
-    std::optional<vgpu::ScopedLaunchObserver> launch_observer;
-    if (recorder_) {
-      const double base_us = now_us();
-      launch_observer.emplace([this, index,
-                               base_us](const vgpu::LaunchRecord& record) {
-        flight(obs::FlightEventKind::kLaunch, index,
-               base_us + record.start_s * 1e6, record.duration_s() * 1e6,
-               record.name.c_str(), "",
-               static_cast<double>(record.blocks));
-      });
-    }
+    // Arms this attempt's launch faults and stamps its kernel launches
+    // into the flight recorder, relative to the detect stage's start.
+    AttemptObserver observer(plan, index, attempt, recorder_.get(), now_us());
+    const vgpu::ScopedLaunchObserver observing(observer);
     try {
       detect::FrameResult result = pipeline.process(decoded.frame.luma());
       sf.detect_ms = result.detect_ms;
@@ -414,7 +391,6 @@ ServedFrame StreamingService::serve_frame(
                attempt + 1, detect_breaker_);
           return sf;
         }
-        hook.reset();
         backoff("detect", ++attempt);
         continue;
       }
@@ -442,11 +418,6 @@ ServedFrame StreamingService::serve_frame(
   sf.status = sf.degradation_level > 0 ? FrameStatus::kDegraded
                                        : FrameStatus::kOk;
   return sf;
-}
-
-ServiceReport StreamingService::run(const video::MockH264Decoder& decoder,
-                                    int count_frames, const FaultPlan* plan) {
-  return run(ingest::H264FrameSource(decoder), count_frames, plan);
 }
 
 ServiceReport StreamingService::run(const ingest::FrameSource& source,

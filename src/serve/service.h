@@ -8,7 +8,7 @@
 // the queue depth is derived from arrivals vs completions —
 // deterministic, like the rest of the simulator, so chaos runs are
 // exactly reproducible. Any frame source serves identically: the mock
-// hardware H.264 decoder (a convenience overload wraps it) or the
+// hardware H.264 decoder (through ingest::H264FrameSource) or the
 // validating byte-stream container parsers of src/ingest/.
 //
 // Recovery behavior (serve/policy.h):
@@ -43,7 +43,6 @@
 #include "obs/trace.h"
 #include "serve/faults.h"
 #include "serve/policy.h"
-#include "video/decoder.h"
 
 namespace fdet::serve {
 
@@ -182,12 +181,6 @@ class StreamingService {
   /// fault plan (null = fault-free). Resets service state (ladder,
   /// breakers, virtual clock) so consecutive runs are independent.
   ServiceReport run(const ingest::FrameSource& source, int count,
-                    const FaultPlan* plan = nullptr);
-
-  /// Convenience: serves the mock hardware decoder through its
-  /// H264FrameSource adapter (the pre-ingest API, kept for callers that
-  /// never touch byte streams).
-  ServiceReport run(const video::MockH264Decoder& decoder, int count,
                     const FaultPlan* plan = nullptr);
 
   const ServiceOptions& options() const { return options_; }

@@ -9,11 +9,6 @@
 #include "vgpu/lane.h"
 
 namespace fdet::vgpu {
-namespace {
-
-thread_local Checker* g_active_checker = nullptr;
-
-}  // namespace
 
 const char* hazard_name(HazardKind kind) {
   switch (kind) {
@@ -364,11 +359,6 @@ std::string Checker::lane_str(const Dim3& lane) const {
 }
 
 CheckScope::CheckScope(CheckOptions options)
-    : checker_(std::move(options)),
-      previous_(std::exchange(g_active_checker, &checker_)) {}
-
-CheckScope::~CheckScope() { g_active_checker = previous_; }
-
-Checker* active_checker() { return g_active_checker; }
+    : checker_(std::move(options)) {}
 
 }  // namespace fdet::vgpu

@@ -37,7 +37,8 @@
 // Opt-in: instantiate a CheckScope, run any kernel(s) through the normal
 // execute_kernel path (directly or via the production wrappers in
 // fdet::integral / fdet::detect), then inspect the per-launch reports.
-// Without an active scope the executor's hot path pays one pointer test.
+// Without a tap on the launch-observer stack (vgpu/tap.h) the executor's
+// hot path pays one pointer test.
 #pragma once
 
 #include <cstddef>
@@ -122,9 +123,9 @@ struct CheckOptions {
 
 /// The verification engine — one of the two LaunchTap implementations
 /// (vgpu/tap.h; the other is the static analyzer's capture engine). The
-/// executor drives it through the begin/on/end hooks when a CheckScope is
-/// active; most callers never touch it directly and read
-/// CheckScope::reports() instead.
+/// executor drives it through the begin/on/end hooks while it is the
+/// innermost tap of a launch; most callers never touch it directly and
+/// read CheckScope::reports() instead.
 class Checker : public LaunchTap {
  public:
   explicit Checker(CheckOptions options = {});
@@ -222,14 +223,14 @@ class Checker : public LaunchTap {
   std::vector<CheckReport> reports_;
 };
 
-/// RAII opt-in: installs `this` as the calling thread's active checker, so
-/// every execute_kernel on this thread until destruction runs instrumented.
-/// Scopes nest (the previous checker is restored); checked state is
-/// per-thread, so concurrent tests do not interfere.
+/// RAII opt-in: pushes a fresh checker onto the calling thread's launch-
+/// observer stack (vgpu/tap.h), so every execute_kernel on this thread
+/// until destruction runs instrumented — unless a tap opened further in
+/// owns the launch (the checker is then only told it was shadowed).
+/// Checked state is per-thread, so concurrent tests do not interfere.
 class CheckScope {
  public:
   explicit CheckScope(CheckOptions options = {});
-  ~CheckScope();
   CheckScope(const CheckScope&) = delete;
   CheckScope& operator=(const CheckScope&) = delete;
 
@@ -243,11 +244,7 @@ class CheckScope {
 
  private:
   Checker checker_;
-  Checker* previous_;
+  ScopedLaunchObserver scope_{checker_};
 };
-
-/// The calling thread's active checker, or nullptr when unchecked. The
-/// executor consults this once per launch.
-Checker* active_checker();
 
 }  // namespace fdet::vgpu

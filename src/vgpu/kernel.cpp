@@ -176,41 +176,23 @@ WarpCost aggregate_warp(const CostModel& cost, const KernelConfig& config,
   return warp;
 }
 
-/// Process-wide fault hook (see ScopedLaunchFaultHook). Plain pointer-free
-/// static: installed and consumed on the launching thread only.
-LaunchFaultHook g_launch_fault_hook;
-
-/// Innermost profile hook of this thread (see ScopedKernelProfileHook).
-thread_local ScopedKernelProfileHook* g_profile_hook = nullptr;
-
 }  // namespace
 
-ScopedLaunchFaultHook::ScopedLaunchFaultHook(LaunchFaultHook hook)
-    : previous_(std::move(g_launch_fault_hook)) {
-  g_launch_fault_hook = std::move(hook);
-}
-
-ScopedLaunchFaultHook::~ScopedLaunchFaultHook() {
-  g_launch_fault_hook = std::move(previous_);
-}
-
 ScopedKernelProfileHook::ScopedKernelProfileHook(KernelProfileHook hook)
-    : hook_(std::move(hook)), prev_(g_profile_hook) {
-  g_profile_hook = this;
-}
+    : hook_(std::move(hook)) {}
 
-ScopedKernelProfileHook::~ScopedKernelProfileHook() {
-  g_profile_hook = prev_;
-}
-
-const KernelProfileHook* ScopedKernelProfileHook::current() {
-  return g_profile_hook == nullptr ? nullptr : &g_profile_hook->hook_;
+void ScopedKernelProfileHook::after_launch(const DeviceSpec& spec,
+                                           const LaunchCost& cost) {
+  if (hook_) {
+    hook_(spec, cost);
+  }
 }
 
 LaunchCost execute_kernel(const DeviceSpec& spec, const KernelConfig& config,
                           std::span<const PhaseFn> phases) {
-  if (g_launch_fault_hook) {
-    g_launch_fault_hook(config);  // may throw to inject a launch failure
+  const std::span<LaunchObserver* const> observers = launch_observers();
+  for (LaunchObserver* observer : observers) {
+    observer->before_launch(config);  // may throw to inject a launch failure
   }
   FDET_CHECK(!phases.empty()) << "kernel '" << config.name << "' has no phases";
   FDET_CHECK(config.grid.count() > 0 && config.block.count() > 0)
@@ -220,18 +202,19 @@ LaunchCost execute_kernel(const DeviceSpec& spec, const KernelConfig& config,
       << "kernel '" << config.name << "': " << threads_per_block
       << " threads per block";
 
-  // Opt-in instrumentation (vgpu/tap.h): an active CheckScope turns this
-  // launch into a checked execution; an active capture tap records it as
-  // a kernel IR for the static analyzer. Precedence when both are
-  // installed: the CHECKER wins — the capture tap is notified once and
-  // sees none of the launch's events (checker/analyzer overlap seam).
-  Checker* const checker = active_checker();
-  LaunchTap* tap = active_tap();
-  if (checker != nullptr) {
-    if (tap != nullptr) {
-      tap->on_shadowed_launch(config);
+  // Opt-in instrumentation (vgpu/tap.h): the innermost tap on the stack
+  // (a CheckScope's checker or a CaptureScope's engine) owns the launch's
+  // lane events; every other tap is notified once and sees none of them.
+  LaunchTap* tap = nullptr;
+  for (auto it = observers.rbegin(); it != observers.rend() && tap == nullptr;
+       ++it) {
+    tap = (*it)->as_tap();
+  }
+  for (LaunchObserver* observer : observers) {
+    LaunchTap* const other = observer->as_tap();
+    if (other != nullptr && other != tap) {
+      other->on_shadowed_launch(config);
     }
-    tap = checker;
   }
   if (tap == nullptr || !tap->absorbs_resource_faults()) {
     FDET_CHECK(config.constant_bytes <= spec.constant_mem_bytes)
@@ -356,9 +339,8 @@ LaunchCost execute_kernel(const DeviceSpec& spec, const KernelConfig& config,
   if (tap != nullptr) {
     tap->end_kernel();
   }
-  const KernelProfileHook* hook = ScopedKernelProfileHook::current();
-  if (hook != nullptr && *hook) {
-    (*hook)(spec, result);
+  for (LaunchObserver* observer : observers) {
+    observer->after_launch(spec, result);
   }
   return result;
 }

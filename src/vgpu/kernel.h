@@ -15,6 +15,10 @@
 //
 // The scheduler (scheduler.h) later places block service times onto SMs to
 // obtain virtual timestamps; nothing here depends on wall-clock time.
+//
+// Every launch reports to the calling thread's launch-observer stack
+// (vgpu/tap.h): before_launch ahead of any check, lane events to the
+// innermost tap, after_launch once the cost is final.
 #pragma once
 
 #include <functional>
@@ -29,6 +33,7 @@
 #include "vgpu/dim.h"
 #include "vgpu/lane.h"
 #include "vgpu/shared_mem.h"
+#include "vgpu/tap.h"
 
 namespace fdet::vgpu {
 
@@ -67,56 +72,24 @@ class LaunchError : public std::runtime_error {
   bool transient_;
 };
 
-/// Fault-injection seam: when a hook is installed, execute_kernel calls it
-/// with the launch config before running any thread. The hook may throw
-/// (typically LaunchError) to make the launch fail — this is how the
-/// serving layer (serve/faults.h) injects transient launch failures and
-/// resource-overflow faults without touching kernel code.
-using LaunchFaultHook = std::function<void(const KernelConfig&)>;
-
-/// RAII installer for the process-wide launch-fault hook. Installation is
-/// not synchronized: install from the thread that issues the launches,
-/// before any concurrent kernel execution. Restores the previously
-/// installed hook (hooks nest) on destruction.
-class ScopedLaunchFaultHook {
- public:
-  explicit ScopedLaunchFaultHook(LaunchFaultHook hook);
-  ~ScopedLaunchFaultHook();
-  ScopedLaunchFaultHook(const ScopedLaunchFaultHook&) = delete;
-  ScopedLaunchFaultHook& operator=(const ScopedLaunchFaultHook&) = delete;
-
- private:
-  LaunchFaultHook previous_;
-};
-
-/// Per-launch profiling seam: while a ScopedKernelProfileHook is
-/// installed on the current thread, execute_kernel invokes the callback
-/// once per successful launch with the device spec and the finished
-/// LaunchCost — after all phases ran, before returning. This is how the
-/// kernel profiler (obs/profile.h) observes every launch at the point
-/// where the caller's ambient context (trace context, profile stage
-/// scope) still names the pipeline stage issuing it, without vgpu
-/// depending on obs. Hooks nest; each restores the previous one on
-/// destruction, and only the innermost hook fires. Installing an *empty*
-/// hook therefore suppresses any outer profiler for the scope's lifetime
-/// (the profiler-off arm of bench_obs_overhead).
+/// Callable adapter over the launch-observer stack (vgpu/tap.h): while
+/// alive, invokes `hook` once per successful launch on the current thread
+/// with the device spec and the finished LaunchCost — the after_launch
+/// point. Adapters nest like every observer: each one in scope sees each
+/// launch, outermost first. An empty hook observes nothing.
 struct LaunchCost;
 using KernelProfileHook =
     std::function<void(const DeviceSpec&, const LaunchCost&)>;
 
-class ScopedKernelProfileHook {
+class ScopedKernelProfileHook final : private LaunchObserver {
  public:
   explicit ScopedKernelProfileHook(KernelProfileHook hook);
-  ~ScopedKernelProfileHook();
-  ScopedKernelProfileHook(const ScopedKernelProfileHook&) = delete;
-  ScopedKernelProfileHook& operator=(const ScopedKernelProfileHook&) = delete;
-
-  /// The innermost installed hook of this thread (nullptr when none).
-  static const KernelProfileHook* current();
 
  private:
+  void after_launch(const DeviceSpec& spec, const LaunchCost& cost) override;
+
   KernelProfileHook hook_;
-  ScopedKernelProfileHook* prev_;
+  ScopedLaunchObserver scope_{*this};
 };
 
 /// Cost of one executed kernel launch, ready for scheduling.

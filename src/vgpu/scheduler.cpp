@@ -10,23 +10,6 @@
 
 namespace fdet::vgpu {
 
-namespace {
-
-thread_local ScopedLaunchObserver* g_launch_observer = nullptr;
-
-}  // namespace
-
-ScopedLaunchObserver::ScopedLaunchObserver(LaunchObserver observer)
-    : observer_(std::move(observer)), prev_(g_launch_observer) {
-  g_launch_observer = this;
-}
-
-ScopedLaunchObserver::~ScopedLaunchObserver() { g_launch_observer = prev_; }
-
-const LaunchObserver* ScopedLaunchObserver::current() {
-  return g_launch_observer == nullptr ? nullptr : &g_launch_observer->observer_;
-}
-
 PerfCounters Timeline::total_counters() const {
   PerfCounters total;
   for (const auto& record : records) {
@@ -156,9 +139,10 @@ Timeline schedule(const DeviceSpec& spec, const std::vector<Launch>& launches,
     }
   }
   FDET_CHECK(dispatched == count) << "scheduler left launches undispatched";
-  if (const LaunchObserver* observer = ScopedLaunchObserver::current()) {
-    for (const LaunchRecord& record : timeline.records) {
-      (*observer)(record);
+  const std::span<LaunchObserver* const> observers = launch_observers();
+  for (const LaunchRecord& record : timeline.records) {
+    for (LaunchObserver* observer : observers) {
+      observer->on_scheduled(record);
     }
   }
   return timeline;

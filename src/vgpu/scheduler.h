@@ -14,7 +14,6 @@
 // the latency-hiding factor of the cost model (see kernel.h).
 #pragma once
 
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -85,32 +84,11 @@ struct Timeline {
 };
 
 /// Schedules `launches` (in issue order) and returns their timeline.
+/// Before returning, hands every finalized LaunchRecord (in issue order)
+/// to the calling thread's launch observers (LaunchObserver::on_scheduled,
+/// vgpu/tap.h) — how the flight recorder stamps virtual launches.
 Timeline schedule(const DeviceSpec& spec, const std::vector<Launch>& launches,
                   ExecMode mode);
-
-/// Per-launch observation seam: while a ScopedLaunchObserver is installed
-/// on the current thread, schedule() invokes the callback once per
-/// LaunchRecord it finalizes (in issue order, before returning). The
-/// observability layer uses this to stamp every virtual kernel launch
-/// into the flight recorder under the ambient frame's trace context —
-/// without vgpu depending on obs. Observers nest; each restores the
-/// previous one on destruction.
-using LaunchObserver = std::function<void(const LaunchRecord&)>;
-
-class ScopedLaunchObserver {
- public:
-  explicit ScopedLaunchObserver(LaunchObserver observer);
-  ~ScopedLaunchObserver();
-  ScopedLaunchObserver(const ScopedLaunchObserver&) = delete;
-  ScopedLaunchObserver& operator=(const ScopedLaunchObserver&) = delete;
-
-  /// The innermost installed observer of this thread (nullptr when none).
-  static const LaunchObserver* current();
-
- private:
-  LaunchObserver observer_;
-  ScopedLaunchObserver* prev_;
-};
 
 /// Multi-GPU schedule, in the spirit of Hefenbrock et al. (paper related
 /// work): streams are partitioned round-robin over `device_count`

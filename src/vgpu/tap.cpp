@@ -1,19 +1,20 @@
 #include "vgpu/tap.h"
 
-#include <utility>
+#include <vector>
 
 namespace fdet::vgpu {
 namespace {
 
-thread_local LaunchTap* g_active_tap = nullptr;
+thread_local std::vector<LaunchObserver*> g_observers;
 
 }  // namespace
 
-ScopedLaunchTap::ScopedLaunchTap(LaunchTap* tap)
-    : previous_(std::exchange(g_active_tap, tap)) {}
+ScopedLaunchObserver::ScopedLaunchObserver(LaunchObserver& observer) {
+  g_observers.push_back(&observer);
+}
 
-ScopedLaunchTap::~ScopedLaunchTap() { g_active_tap = previous_; }
+ScopedLaunchObserver::~ScopedLaunchObserver() { g_observers.pop_back(); }
 
-LaunchTap* active_tap() { return g_active_tap; }
+std::span<LaunchObserver* const> launch_observers() { return g_observers; }
 
 }  // namespace fdet::vgpu

@@ -1,52 +1,98 @@
-// Launch-instrumentation seam shared by the dynamic checker and the
-// static analyzer's capture mode.
+// Launch-instrumentation seam: one thread-local, ordered stack of
+// LaunchObservers that every kernel launch and every schedule() reports to.
 //
-// The executor (kernel.cpp) funnels every instrumentation point of a
-// launch — kernel/block/phase/lane boundaries, SharedMem carves,
-// attributed shared accesses, finished lane traces — through at most ONE
-// LaunchTap. Two kinds of tap exist:
+// Everything that watches launches pushes an observer with one RAII
+// ScopedLaunchObserver:
 //
-//   * the verification engine (vgpu/checker.h, installed by CheckScope),
-//     which shadows accesses for racecheck/memcheck hazards, and
-//   * the symbolic capture engine (analyze/capture.h, installed by
-//     analyze::CaptureScope), which records lane programs as a kernel IR
-//     for the static access-pattern lint.
+//   * the serving layer's per-attempt fault/flight observer
+//     (serve/faults.h), which throws from before_launch to inject launch
+//     failures and stamps scheduled launches into the flight recorder,
+//   * the kernel profiler (obs/profile.h) and the callable
+//     ScopedKernelProfileHook adapter (vgpu/kernel.h), via after_launch,
+//   * the two LaunchTaps: the verification engine (vgpu/checker.h,
+//     CheckScope) and the static analyzer's capture engine
+//     (analyze/capture.h, CaptureScope), which additionally receive the
+//     executor's per-block/phase/lane events.
 //
-// Precedence rule (the checker/analyzer overlap seam): when both a
-// CheckScope and a capture tap are active on the calling thread, the
-// CHECKER WINS — the launch runs checked exactly as if no capture were
-// installed, and the capture tap is told via on_shadowed_launch() so it
-// can account for the launch it did not observe instead of silently
-// producing a partial IR. The two engines never both receive hooks for
-// one launch: the checker owns LaneCtx/SharedMem attribution, dual
-// delivery would double-count and is deliberately unsupported.
+// The rule: every observer on the calling thread's stack sees every
+// launch issued in its scope, outermost first. Lane-level events are the
+// exception — the INNERMOST tap owns them, and every other tap on the
+// stack is told via on_shadowed_launch() instead, so it can account for
+// the launch it did not observe rather than silently producing a partial
+// result. Two taps never both receive lane events for one launch: the
+// owning tap controls LaneCtx/SharedMem attribution, and dual delivery
+// would double-count. (Callers today open a checker, if at all, inside
+// any capture scope, so the checker owns those launches; a capture opened
+// inside a checker would own them instead.)
+//
+// The stack is per thread: an observer installed on one thread never sees
+// (or fails) a launch issued on another.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 
 #include "vgpu/dim.h"
 
 namespace fdet::vgpu {
 
 class LaneCtx;
+class LaunchTap;
 struct DeviceSpec;
 struct KernelConfig;
+struct LaunchCost;
+struct LaunchRecord;
 
-/// Executor-side instrumentation interface. All hooks default to no-ops
-/// so a tap only overrides the events it consumes. Hook order per launch:
+/// Launch-level observer. All hooks default to no-ops.
+class LaunchObserver {
+ public:
+  LaunchObserver() = default;
+  LaunchObserver(const LaunchObserver&) = delete;
+  LaunchObserver& operator=(const LaunchObserver&) = delete;
+  virtual ~LaunchObserver() = default;
+
+  /// execute_kernel calls this first, before validating the config or
+  /// running any thread. May throw (typically LaunchError) to make the
+  /// launch fail; observers further in then see nothing of it.
+  virtual void before_launch(const KernelConfig& config) { (void)config; }
+  /// A launch finished: its cost is final, the caller's ambient context
+  /// (trace context, profile stage) still names the issuing stage.
+  virtual void after_launch(const DeviceSpec& spec, const LaunchCost& cost) {
+    (void)spec;
+    (void)cost;
+  }
+  /// schedule() finalized this record (once per launch, in issue order).
+  virtual void on_scheduled(const LaunchRecord& record) { (void)record; }
+
+  /// Non-null when this observer also consumes lane-level events.
+  virtual LaunchTap* as_tap() { return nullptr; }
+};
+
+/// RAII: pushes `observer` onto the calling thread's stack for the scope's
+/// lifetime. Scopes must close innermost first, as nested blocks do.
+class ScopedLaunchObserver {
+ public:
+  explicit ScopedLaunchObserver(LaunchObserver& observer);
+  ~ScopedLaunchObserver();
+  ScopedLaunchObserver(const ScopedLaunchObserver&) = delete;
+  ScopedLaunchObserver& operator=(const ScopedLaunchObserver&) = delete;
+};
+
+/// The calling thread's observer stack, outermost first.
+std::span<LaunchObserver* const> launch_observers();
+
+/// Observer of the executor's lane-level instrumentation points. Hook
+/// order per launch it owns:
 ///   begin_kernel
 ///     per block: begin_block, per phase: begin_phase,
 ///       per lane: begin_lane, {on_carve | on_shared |
 ///       on_unattributed_shared}*, end_lane,
 ///     end_phase (the block-wide barrier)
 ///   end_kernel
-class LaunchTap {
+class LaunchTap : public LaunchObserver {
  public:
-  LaunchTap() = default;
-  LaunchTap(const LaunchTap&) = delete;
-  LaunchTap& operator=(const LaunchTap&) = delete;
-  virtual ~LaunchTap() = default;
+  LaunchTap* as_tap() override { return this; }
 
   virtual void begin_kernel(const DeviceSpec& spec,
                             const KernelConfig& config) = 0;
@@ -67,9 +113,8 @@ class LaunchTap {
   virtual void end_phase() = 0;
   virtual void end_kernel() = 0;
 
-  /// Called instead of the hooks above when this tap lost the precedence
-  /// race: a checker was also active, owns the launch, and this tap will
-  /// see none of its events.
+  /// Called instead of the hooks above when a tap further in on the
+  /// stack owns the launch and this tap will see none of its events.
   virtual void on_shadowed_launch(const KernelConfig& config) { (void)config; }
 
   /// Size (in bytes) the executor should give each block's SharedMem
@@ -88,25 +133,5 @@ class LaunchTap {
   /// classify branches; costs derived under a tap are discarded anyway.
   virtual bool wants_branch_tracking() const { return false; }
 };
-
-/// RAII installer for the calling thread's capture-side tap. Scopes nest
-/// (the previous tap is restored on destruction). The checker does NOT
-/// use this seam — CheckScope has its own thread-local slot — which is
-/// what makes the precedence rule above enforceable in one place
-/// (execute_kernel) instead of at every install site.
-class ScopedLaunchTap {
- public:
-  explicit ScopedLaunchTap(LaunchTap* tap);
-  ~ScopedLaunchTap();
-  ScopedLaunchTap(const ScopedLaunchTap&) = delete;
-  ScopedLaunchTap& operator=(const ScopedLaunchTap&) = delete;
-
- private:
-  LaunchTap* previous_;
-};
-
-/// The calling thread's installed capture tap, or nullptr. The executor
-/// consults this once per launch, after active_checker().
-LaunchTap* active_tap();
 
 }  // namespace fdet::vgpu

@@ -1,6 +1,7 @@
 // Regression tests for the LaunchTap seam (vgpu/tap.h): the dynamic
-// checker and the static analyzer's capture engine are both taps, and
-// when both are active around a launch the CHECKER wins — capture must
+// checker and the static analyzer's capture engine are both taps on the
+// launch-observer stack, and the innermost one owns a launch. With a
+// checker opened inside a capture scope the CHECKER wins — capture must
 // observe nothing except a shadowed-launch notification. This precedence
 // is load-bearing: fdet_check's hazard reports must not change because a
 // capture scope happens to be open somewhere up the stack.
@@ -116,6 +117,7 @@ TEST(LaunchTap, ScopesRestorePreviousTap) {
     launch_once();
     EXPECT_EQ(inner.engine().captures().size(), 1u);
     EXPECT_EQ(outer.engine().captures().size(), 0u);
+    EXPECT_EQ(outer.shadowed_launches(), 1);
   }
   launch_once();
   EXPECT_EQ(outer.engine().captures().size(), 1u);

@@ -262,6 +262,27 @@ TEST(Pipeline, ProcessesFramesStraightFromAnIngestSource) {
   EXPECT_THROW(pipeline.process(*source, -1), ingest::IngestError);
 }
 
+TEST(Pipeline, BeforeLaunchErrorPropagatesOutOfProcess) {
+  // A launch failure injected through the launch-observer seam (how the
+  // serving layer's fault plans reach the detector) must surface from
+  // process() as the same typed error.
+  struct FailEveryLaunch final : vgpu::LaunchObserver {
+    void before_launch(const vgpu::KernelConfig& config) override {
+      throw vgpu::LaunchError("injected failure on '" + config.name + "'",
+                              /*transient=*/true);
+    }
+  } failing;
+  const vgpu::DeviceSpec spec;
+  const Pipeline pipeline(spec, test_cascade(),
+                          fast_options(vgpu::ExecMode::kConcurrent));
+  const img::ImageU8 frame(96, 96, 128);
+  {
+    const vgpu::ScopedLaunchObserver scope(failing);
+    EXPECT_THROW(pipeline.process(frame), vgpu::LaunchError);
+  }
+  EXPECT_NO_THROW(pipeline.process(frame));
+}
+
 TEST(Pipeline, DeterministicAcrossRuns) {
   const vgpu::DeviceSpec spec;
   const Pipeline pipeline(spec, test_cascade(),

@@ -151,20 +151,23 @@ TEST(KernelProfiler, FallbackBucketsCatchUnscopedLaunches) {
   EXPECT_NEAR(record.stages[0].cycles, record.total_cycles, 1e-9);
 }
 
-TEST(KernelProfiler, EmptyHookSuppressesOuterProfiler) {
-  KernelProfiler profiler;
-  const ScopedProfileCollection collection(profiler);
-  run_named("seen", 4);
+TEST(KernelProfiler, NestedProfilersEachSeeEveryLaunchInTheirScope) {
+  KernelProfiler outer;
+  const ScopedProfileCollection outer_collection(outer);
+  run_named("before", 4);
   {
-    const vgpu::ScopedKernelProfileHook suppress(nullptr);
-    run_named("hidden", 4);
+    KernelProfiler inner;
+    const ScopedProfileCollection inner_collection(inner);
+    run_named("nested", 4);
+    EXPECT_EQ(inner.launches(), 1u);
+    EXPECT_EQ(inner.snapshot("test").find_kernel("before"), nullptr);
   }
-  run_named("seen", 4);
-  EXPECT_EQ(profiler.launches(), 2u);
-  const ProfileRecord record = profiler.snapshot("test");
-  EXPECT_EQ(record.find_kernel("hidden"), nullptr);
-  ASSERT_NE(record.find_kernel("seen"), nullptr);
-  EXPECT_EQ(record.find_kernel("seen")->launches, 2u);
+  run_named("after", 4);
+  EXPECT_EQ(outer.launches(), 3u);
+  const ProfileRecord record = outer.snapshot("test");
+  EXPECT_NE(record.find_kernel("before"), nullptr);
+  EXPECT_NE(record.find_kernel("nested"), nullptr);
+  EXPECT_NE(record.find_kernel("after"), nullptr);
 }
 
 TEST(KernelProfiler, ResetDiscardsCollectedLaunches) {

@@ -4,6 +4,7 @@
 
 #include "core/check.h"
 #include "vgpu/kernel.h"
+#include "vgpu/scheduler.h"
 
 namespace fdet::serve {
 namespace {
@@ -74,47 +75,48 @@ TEST(CorruptLuma, IsSeededAndChangesThePlane) {
   EXPECT_NE(a, c);
 }
 
-TEST(LaunchFaultHook, TransientFiresOnceAndClearsOnNextAttempt) {
-  const FaultPlan plan = FaultPlan::parse("launch@3", 1);
-  const vgpu::DeviceSpec spec;
-  const vgpu::KernelConfig config{
-      .name = "probe", .grid = {1, 1, 1}, .block = {32, 1, 1}};
-  const auto noop = [](const vgpu::ThreadCoord&, vgpu::LaneCtx& ctx,
-                       vgpu::SharedMem&) { ctx.alu(); };
+const vgpu::KernelConfig kProbe{
+    .name = "probe", .grid = {1, 1, 1}, .block = {32, 1, 1}};
 
+void run_probe(const vgpu::KernelConfig& config = kProbe) {
+  vgpu::execute_kernel(vgpu::DeviceSpec{}, config,
+                       [](const vgpu::ThreadCoord&, vgpu::LaneCtx& ctx,
+                          vgpu::SharedMem&) { ctx.alu(); });
+}
+
+TEST(AttemptObserver, TransientFiresOnceAndClearsOnNextAttempt) {
+  const FaultPlan plan = FaultPlan::parse("launch@3", 1);
   {
-    const vgpu::ScopedLaunchFaultHook hook(make_launch_fault_hook(plan, 3, 0));
+    AttemptObserver observer(&plan, 3, 0);
+    const vgpu::ScopedLaunchObserver scope(observer);
     try {
-      vgpu::execute_kernel(spec, config, noop);
+      run_probe();
       FAIL() << "expected LaunchError";
     } catch (const vgpu::LaunchError& error) {
       EXPECT_TRUE(error.transient());
     }
     // The armed fault fired; the in-scope retry launches clean.
-    EXPECT_NO_THROW(vgpu::execute_kernel(spec, config, noop));
+    EXPECT_NO_THROW(run_probe());
   }
   // attempt 1 is past the burst (default 1): nothing is armed.
-  const vgpu::ScopedLaunchFaultHook hook(make_launch_fault_hook(plan, 3, 1));
-  EXPECT_NO_THROW(vgpu::execute_kernel(spec, config, noop));
+  AttemptObserver observer(&plan, 3, 1);
+  const vgpu::ScopedLaunchObserver scope(observer);
+  EXPECT_NO_THROW(run_probe());
 }
 
-TEST(LaunchFaultHook, OverflowKindsTargetMatchingLaunchesOnly) {
+TEST(AttemptObserver, OverflowKindsTargetMatchingLaunchesOnly) {
   const FaultPlan plan = FaultPlan::parse("const@2,shared@2", 1);
-  const vgpu::DeviceSpec spec;
-  const auto noop = [](const vgpu::ThreadCoord&, vgpu::LaneCtx& ctx,
-                       vgpu::SharedMem&) { ctx.alu(); };
-  const vgpu::ScopedLaunchFaultHook hook(make_launch_fault_hook(plan, 2, 0));
+  AttemptObserver observer(&plan, 2, 0);
+  const vgpu::ScopedLaunchObserver scope(observer);
 
-  // No constant or shared usage: the hook lets the launch through.
-  vgpu::KernelConfig plain{
-      .name = "plain", .grid = {1, 1, 1}, .block = {32, 1, 1}};
-  EXPECT_NO_THROW(vgpu::execute_kernel(spec, plain, noop));
+  // No constant or shared usage: the observer lets the launch through.
+  EXPECT_NO_THROW(run_probe());
 
-  vgpu::KernelConfig uses_const = plain;
+  vgpu::KernelConfig uses_const = kProbe;
   uses_const.name = "const_user";
   uses_const.constant_bytes = 128;
   try {
-    vgpu::execute_kernel(spec, uses_const, noop);
+    run_probe(uses_const);
     FAIL() << "expected LaunchError";
   } catch (const vgpu::LaunchError& error) {
     EXPECT_FALSE(error.transient());
@@ -122,35 +124,31 @@ TEST(LaunchFaultHook, OverflowKindsTargetMatchingLaunchesOnly) {
   }
 }
 
-TEST(LaunchFaultHook, UntargetedFrameArmsNothing) {
+TEST(AttemptObserver, UntargetedFrameArmsNothing) {
   const FaultPlan plan = FaultPlan::parse("launch@3", 1);
-  EXPECT_FALSE(static_cast<bool>(make_launch_fault_hook(plan, 4, 0)));
-  EXPECT_TRUE(static_cast<bool>(make_launch_fault_hook(plan, 3, 0)));
+  AttemptObserver observer(&plan, 4, 0);
+  const vgpu::ScopedLaunchObserver scope(observer);
+  EXPECT_NO_THROW(run_probe());
 }
 
-TEST(ScopedLaunchFaultHook, RestoresThePreviousHookOnExit) {
-  const vgpu::DeviceSpec spec;
-  const vgpu::KernelConfig config{
-      .name = "probe", .grid = {1, 1, 1}, .block = {32, 1, 1}};
-  const auto noop = [](const vgpu::ThreadCoord&, vgpu::LaneCtx& ctx,
-                       vgpu::SharedMem&) { ctx.alu(); };
-  int outer_calls = 0;
-  {
-    const vgpu::ScopedLaunchFaultHook outer(
-        [&](const vgpu::KernelConfig&) { ++outer_calls; });
-    vgpu::execute_kernel(spec, config, noop);
-    EXPECT_EQ(outer_calls, 1);
-    {
-      const vgpu::ScopedLaunchFaultHook inner(
-          [](const vgpu::KernelConfig&) {});
-      vgpu::execute_kernel(spec, config, noop);
-      EXPECT_EQ(outer_calls, 1);  // inner shadowed outer
-    }
-    vgpu::execute_kernel(spec, config, noop);
-    EXPECT_EQ(outer_calls, 2);  // outer restored
-  }
-  vgpu::execute_kernel(spec, config, noop);
-  EXPECT_EQ(outer_calls, 2);  // cleared after the outermost scope
+TEST(AttemptObserver, StampsScheduledLaunchesIntoTheFlightRecorder) {
+  obs::FlightRecorder recorder(64);
+  AttemptObserver observer(nullptr, 5, 0, &recorder, 1000.0);
+  const vgpu::ScopedLaunchObserver scope(observer);
+  vgpu::Launch launch;
+  launch.cost.config = kProbe;
+  launch.cost.block_service_cycles = {100.0, 100.0};
+  const vgpu::Timeline timeline =
+      vgpu::schedule(vgpu::DeviceSpec{}, {launch}, vgpu::ExecMode::kSerial);
+
+  const std::vector<obs::FlightEvent> events = recorder.snapshot();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].kind, obs::FlightEventKind::kLaunch);
+  EXPECT_EQ(events[0].frame, 5);
+  EXPECT_STREQ(events[0].name, "probe");
+  EXPECT_DOUBLE_EQ(events[0].ts_us,
+                   1000.0 + timeline.records[0].start_s * 1e6);
+  EXPECT_DOUBLE_EQ(events[0].value, 2.0);  // blocks
 }
 
 TEST(DeviceFaultPlan, ParsesEveryFormAndRoundTrips) {

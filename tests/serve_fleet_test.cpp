@@ -159,8 +159,9 @@ TEST(FleetScheduler, AdmissionControlRejectsWithTypedError) {
 }
 
 TEST(FleetScheduler, DeviceLossFailsOverWithIdenticalDetections) {
+  obs::Registry registry;
   FleetScheduler fleet(vgpu::DeviceSpec{}, fleet_cascade(), {},
-                       generous_options());
+                       generous_options(), &registry);
   add_test_streams(fleet);
   const FleetReport clean = fleet.run();
   // Drop device 0 mid-service of a known dispatch: both runs are
@@ -183,6 +184,11 @@ TEST(FleetScheduler, DeviceLossFailsOverWithIdenticalDetections) {
   const FleetReport faulted = fleet.run(&plan);
 
   EXPECT_EQ(faulted.device_faults, 1);
+  EXPECT_DOUBLE_EQ(registry
+                       .counter("serve.fleet.faults.injected",
+                                {{"kind", "device-lost"}})
+                       .value(),
+                   1.0);  // the loss tore in-flight work
   EXPECT_GT(faulted.failovers, 0);
   EXPECT_EQ(faulted.stranded, 0);
   EXPECT_EQ(faulted.failed, 0);
@@ -342,6 +348,30 @@ TEST(FleetScheduler, RejectsUnusableConfiguration) {
   const DeviceFaultPlan plan =
       DeviceFaultPlan::parse("device-lost@7:1+1", 3);
   EXPECT_THROW(fleet.run(&plan), core::CheckError);  // no device 7
+}
+
+TEST(FleetScheduler, RejectsFrameFaultKindsItCannotInject) {
+  FleetScheduler fleet(vgpu::DeviceSpec{}, fleet_cascade(), {},
+                       generous_options());
+  add_test_streams(fleet, 1, 4);
+  for (const char* kind : {"launch", "const", "shared"}) {
+    const FaultPlan plan =
+        FaultPlan::parse("decode@1," + std::string(kind) + "@3", 5);
+    try {
+      fleet.run(nullptr, &plan);
+      ADD_FAILURE() << "fleet accepted a '" << kind << "' frame fault";
+    } catch (const core::CheckError& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find(std::string("'") + kind + "'"), std::string::npos)
+          << what;
+      EXPECT_NE(what.find("decode, corrupt, bitstream"), std::string::npos)
+          << what;
+    }
+  }
+  // The supported kinds still run.
+  const FaultPlan supported =
+      FaultPlan::parse("decode@1,corrupt@2,bitstream@3", 5);
+  EXPECT_EQ(fleet.run(nullptr, &supported).stranded, 0);
 }
 
 }  // namespace

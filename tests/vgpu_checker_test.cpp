@@ -279,18 +279,21 @@ TEST(CheckerSeeded, LegacySharedAccessCountsAsUnattributed) {
   EXPECT_EQ(run.report.shared_accesses_checked, 0u);
 }
 
-TEST(CheckerScope, NestsAndRestoresPreviousChecker) {
-  EXPECT_EQ(active_checker(), nullptr);
+TEST(CheckerScope, InnermostCheckerOwnsTheLaunch) {
+  const DeviceSpec spec;
+  const auto lane_alu = [](const ThreadCoord&, LaneCtx& ctx, SharedMem&) {
+    ctx.alu();
+  };
+  CheckScope outer;
   {
-    CheckScope outer;
-    EXPECT_EQ(active_checker(), &outer.checker());
-    {
-      CheckScope inner;
-      EXPECT_EQ(active_checker(), &inner.checker());
-    }
-    EXPECT_EQ(active_checker(), &outer.checker());
+    CheckScope inner;
+    execute_kernel(spec, tile_config("inner", 0), lane_alu);
+    EXPECT_EQ(inner.reports().size(), 1u);
   }
-  EXPECT_EQ(active_checker(), nullptr);
+  EXPECT_TRUE(outer.reports().empty());  // shadowed while inner was open
+  execute_kernel(spec, tile_config("outer", 0), lane_alu);
+  ASSERT_EQ(outer.reports().size(), 1u);
+  EXPECT_EQ(outer.reports()[0].kernel, "outer");
 }
 
 // --- production kernels must come back clean --------------------------
