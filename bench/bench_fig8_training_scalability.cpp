@@ -3,7 +3,7 @@
 //
 // The reproduction host may be single-core, so the figure's numbers come
 // from the calibrated SMP model (Amdahl + bandwidth ceiling, see
-// train/smp_model.h); the real OpenMP training loop is exercised and its
+// train/smp_model.h); the real thread-pool training loop is exercised and its
 // measured wall time reported alongside for reference.
 #include <thread>
 
@@ -57,8 +57,8 @@ int main(int argc, char** argv) {
   std::printf("\npaper: ~3.5x speedup at 8 threads on both platforms; the\n"
               "i7-2600K is ~2x faster than the dual Xeon per thread.\n");
 
-  // Real OpenMP measurement on this host (scaled-down workload).
-  std::printf("\nmeasured on this host (OpenMP, %d hypotheses x %d images —\n"
+  // Real thread-pool measurement on this host (scaled-down workload).
+  std::printf("\nmeasured on this host (thread pool, %d hypotheses x %d images —\n"
               "wall time is hardware-dependent and flat on a 1-core host):\n\n",
               pool, 2 * faces);
   const facegen::TrainingSet set =

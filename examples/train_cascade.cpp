@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
   cli.flag("faces", faces, "training faces");
   cli.flag("stages", stages, "cascade stages");
   cli.flag("pool", pool, "hypothesis pool size");
-  cli.flag("threads", threads, "OpenMP threads (0 = library default)");
+  cli.flag("threads", threads, "host threads (0 = one per CPU)");
   cli.flag("algorithm", algorithm, "'gentle' or 'ada'");
   cli.flag("out", out, "output cascade file");
   cli.flag("checkpoint-dir", checkpoint_dir,

@@ -1,6 +1,7 @@
 #include "detect/kernels.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 
 #include "core/check.h"
@@ -383,15 +384,22 @@ vgpu::LaunchCost display_kernel(const vgpu::DeviceSpec& spec,
         const int side = static_cast<int>(
             std::lround(haar::kWindowSize * scale_factor));
         ctx.alu(6);
+        // Outlines of neighbouring detections overlap, and blocks may run
+        // on different host threads: mark pixels with relaxed atomic
+        // stores (every writer stores the same value).
+        const auto mark = [&overlay](int px, int py) {
+          std::atomic_ref<std::uint8_t>(overlay(px, py))
+              .store(255, std::memory_order_relaxed);
+        };
         for (int i = 0; i < side; ++i) {
           const int right = std::min(overlay.width() - 1, fx + side - 1);
           const int bottom = std::min(overlay.height() - 1, fy + side - 1);
           const int cx = std::min(overlay.width() - 1, fx + i);
           const int cy = std::min(overlay.height() - 1, fy + i);
-          overlay(cx, std::min(overlay.height() - 1, fy)) = 255;
-          overlay(cx, bottom) = 255;
-          overlay(std::min(overlay.width() - 1, fx), cy) = 255;
-          overlay(right, cy) = 255;
+          mark(cx, std::min(overlay.height() - 1, fy));
+          mark(cx, bottom);
+          mark(std::min(overlay.width() - 1, fx), cy);
+          mark(right, cy);
           ctx.global_store(addr_of_u8(overlay, cx, fy), 1);
           ctx.global_store(addr_of_u8(overlay, cx, bottom), 1);
         }

@@ -958,11 +958,15 @@ void FleetScheduler::flight(obs::FlightEventKind kind, int stream, int frame,
   event.frame = frame;
   event.value = value;
   event.set_name(name);
-  std::string tagged = detail;
+  std::string tagged;
   if (stream >= 0) {
-    tagged = "s" + std::to_string(stream) +
-             (tagged.empty() ? "" : ":" + tagged);
+    tagged += 's';
+    tagged += std::to_string(stream);
+    if (*detail != '\0') {
+      tagged += ':';
+    }
   }
+  tagged += detail;
   event.set_detail(tagged.c_str());
   recorder_->record(event);
 }

@@ -1,10 +1,9 @@
 #include "train/boost.h"
 
-#include <omp.h>
-
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <limits>
 #include <optional>
 
@@ -12,6 +11,7 @@
 #include "core/check.h"
 #include "core/rng.h"
 #include "core/stopwatch.h"
+#include "core/thread_pool.h"
 #include "facegen/background.h"
 #include "haar/enumerate.h"
 #include "obs/metrics.h"
@@ -60,21 +60,61 @@ FeaturePool build_pool(int target_total, std::uint64_t seed) {
   return pool;
 }
 
+/// Chunks per feature loop: fixed, so the per-chunk argmin partials and
+/// their merge never depend on the thread count.
+constexpr int kFeatureChunks = 64;
+
+/// Host threads for the feature loops: `threads` > 1 runs chunks on a pool
+/// of threads - 1 workers plus the calling thread, 1 runs serially on the
+/// caller, and 0 (or less) uses the process default pool. Results never
+/// depend on the choice: every loop writes per-feature or per-chunk slots
+/// that are merged in chunk order.
+class FeatureWorkers {
+ public:
+  explicit FeatureWorkers(int threads) {
+    if (threads > 1) {
+      own_.emplace(static_cast<std::size_t>(threads - 1));
+    }
+    pool_ = threads <= 0 ? &core::default_pool()
+                         : (own_ ? &*own_ : nullptr);
+  }
+
+  /// Runs body(chunk, begin, end) over [0, n) cut into kFeatureChunks
+  /// contiguous (possibly empty) chunks.
+  void for_chunks(int n, const std::function<void(int, int, int)>& body) const {
+    const auto run = [&](std::size_t first, std::size_t last) {
+      for (std::size_t c = first; c < last; ++c) {
+        const int chunk = static_cast<int>(c);
+        body(chunk, chunk * n / kFeatureChunks,
+             (chunk + 1) * n / kFeatureChunks);
+      }
+    };
+    if (pool_ == nullptr) {
+      run(0, kFeatureChunks);
+    } else {
+      pool_->parallel_for(kFeatureChunks, run);
+    }
+  }
+
+ private:
+  std::optional<core::ThreadPool> own_;
+  core::ThreadPool* pool_ = nullptr;
+};
+
 /// Response cache: responses[f][j] = feature f on example j.
 std::vector<std::vector<std::int32_t>> cache_responses(
-    const DatasetMatrix& matrix, const FeaturePool& pool, int threads) {
+    const DatasetMatrix& matrix, const FeaturePool& pool,
+    const FeatureWorkers& workers) {
   std::vector<std::vector<std::int32_t>> responses(pool.features.size());
   const int n = static_cast<int>(pool.features.size());
-  if (threads > 0) {
-    omp_set_num_threads(threads);
-  }
-#pragma omp parallel for schedule(static)
-  for (int f = 0; f < n; ++f) {
-    responses[static_cast<std::size_t>(f)].resize(
-        static_cast<std::size_t>(matrix.cols()));
-    matrix.evaluate_terms(pool.terms[static_cast<std::size_t>(f)],
-                          responses[static_cast<std::size_t>(f)]);
-  }
+  workers.for_chunks(n, [&](int, int begin, int end) {
+    for (int f = begin; f < end; ++f) {
+      responses[static_cast<std::size_t>(f)].resize(
+          static_cast<std::size_t>(matrix.cols()));
+      matrix.evaluate_terms(pool.terms[static_cast<std::size_t>(f)],
+                            responses[static_cast<std::size_t>(f)]);
+    }
+  });
   return responses;
 }
 
@@ -83,55 +123,47 @@ struct RoundBest {
   int feature = -1;
 };
 
+/// True when `a` beats `b`: lower loss, ties to the lower feature index.
+bool better(const RoundBest& a, const RoundBest& b) {
+  return a.feature >= 0 &&
+         (a.fit.loss < b.fit.loss ||
+          (a.fit.loss == b.fit.loss && a.feature < b.feature));
+}
+
 /// One boosting round: tests every hypothesis (four per-family parallel
 /// loops, as in paper Fig. 4) and returns the global best stump.
 RoundBest best_stump_round(const FeaturePool& pool,
                            const std::vector<std::vector<std::int32_t>>& responses,
                            std::span<const float> targets,
                            std::span<const double> weights,
-                           BoostAlgorithm algorithm, int bins, int threads) {
+                           BoostAlgorithm algorithm, int bins,
+                           const FeatureWorkers& workers) {
   RoundBest global;
   global.fit.loss = std::numeric_limits<double>::infinity();
-  if (threads > 0) {
-    omp_set_num_threads(threads);
-  }
 
   for (const auto& [first, last] : pool.type_ranges) {
-    RoundBest family;
-    family.fit.loss = std::numeric_limits<double>::infinity();
-#pragma omp parallel
-    {
-      RoundBest local;
+    std::vector<RoundBest> locals(kFeatureChunks);
+    workers.for_chunks(last - first, [&](int chunk, int begin, int end) {
+      RoundBest& local = locals[static_cast<std::size_t>(chunk)];
       local.fit.loss = std::numeric_limits<double>::infinity();
-#pragma omp for schedule(static) nowait
-      for (int f = first; f < last; ++f) {
+      for (int f = first + begin; f < first + end; ++f) {
         const auto& r = responses[static_cast<std::size_t>(f)];
-        const StumpFit fit =
-            (algorithm == BoostAlgorithm::kGentleBoost)
-                ? fit_gentle_stump(r, targets, weights, bins)
-                : fit_discrete_stump(r, targets, weights, bins);
-        if (fit.valid &&
-            (fit.loss < local.fit.loss ||
-             (fit.loss == local.fit.loss && f < local.feature))) {
-          local.fit = fit;
-          local.feature = f;
+        RoundBest candidate;
+        candidate.fit = (algorithm == BoostAlgorithm::kGentleBoost)
+                            ? fit_gentle_stump(r, targets, weights, bins)
+                            : fit_discrete_stump(r, targets, weights, bins);
+        candidate.feature = f;
+        if (candidate.fit.valid && better(candidate, local)) {
+          local = candidate;
         }
       }
-#pragma omp critical
-      {
-        if (local.feature >= 0 &&
-            (local.fit.loss < family.fit.loss ||
-             (local.fit.loss == family.fit.loss &&
-              local.feature < family.feature))) {
-          family = local;
-        }
+    });
+    // Chunk-order merge of the per-chunk argmins; the (loss, index)
+    // order is total, so the winner never depends on the chunking.
+    for (const RoundBest& local : locals) {
+      if (better(local, global)) {
+        global = local;
       }
-    }
-    if (family.feature >= 0 &&
-        (family.fit.loss < global.fit.loss ||
-         (family.fit.loss == global.fit.loss &&
-          family.feature < global.feature))) {
-      global = family;
     }
   }
   return global;
@@ -210,6 +242,7 @@ TrainResult train_cascade(const facegen::TrainingSet& set,
   core::Stopwatch total_watch;
 
   const FeaturePool pool = build_pool(options.feature_pool, options.seed);
+  const FeatureWorkers workers(options.threads);
   core::Rng rng(core::hash_combine(options.seed, 0xb005));
 
   TrainResult result;
@@ -274,7 +307,7 @@ TrainResult train_cascade(const facegen::TrainingSet& set,
     }
     const auto responses = [&] {
       const obs::ScopedSpan span("train.cache_responses");
-      return cache_responses(matrix, pool, options.threads);
+      return cache_responses(matrix, pool, workers);
     }();
 
     std::vector<float> targets(static_cast<std::size_t>(n));
@@ -293,7 +326,7 @@ TrainResult train_cascade(const facegen::TrainingSet& set,
       const RoundBest best =
           best_stump_round(pool, responses, targets, weights,
                            options.algorithm, options.histogram_bins,
-                           options.threads);
+                           workers);
       FDET_CHECK(best.feature >= 0)
           << "no splittable hypothesis in round " << round;
 
@@ -448,22 +481,18 @@ double boosting_iteration_seconds(const facegen::TrainingSet& set,
 
   // The measured unit: evaluate every hypothesis on every example and fit
   // its stump (response evaluation + regression, as in paper Fig. 4).
+  const FeatureWorkers workers(threads);
   core::Stopwatch watch;
-  if (threads > 0) {
-    omp_set_num_threads(threads);
-  }
   const int total = static_cast<int>(pool.features.size());
   std::vector<double> losses(static_cast<std::size_t>(total), 0.0);
-#pragma omp parallel
-  {
+  workers.for_chunks(total, [&](int, int begin, int end) {
     std::vector<std::int32_t> eval(static_cast<std::size_t>(n));
-#pragma omp for schedule(static)
-    for (int f = 0; f < total; ++f) {
+    for (int f = begin; f < end; ++f) {
       matrix.evaluate_terms(pool.terms[static_cast<std::size_t>(f)], eval);
       const StumpFit fit = fit_gentle_stump(eval, targets, weights);
       losses[static_cast<std::size_t>(f)] = fit.valid ? fit.loss : 1e30;
     }
-  }
+  });
   return watch.elapsed_seconds();
 }
 

@@ -2,10 +2,11 @@
 //
 // The trainer follows the paper's structure: one large outer loop builds
 // the cascade stage by stage; inside a stage, every boosting round tests
-// the whole feature pool — four OpenMP-parallel loops, one per Haar family
-// exactly as in Fig. 4 — against the current example weights, fits a stump
-// per hypothesis on the cached response matrix (the SSE4 data-parallel
-// layer lives in DatasetMatrix::evaluate_terms), and keeps the best. A
+// the whole feature pool — four parallel loops on core::ThreadPool, one per
+// Haar family exactly as in Fig. 4 — against the current example weights,
+// fits a stump per hypothesis on the cached response matrix (the SSE4
+// data-parallel layer lives in DatasetMatrix::evaluate_terms), and keeps
+// the best. A
 // bootstrapping pass after each stage re-mines hard negatives: background
 // windows that still pass the cascade built so far.
 //
@@ -46,7 +47,9 @@ struct TrainOptions {
   /// from stage *composition*, exactly as in the paper's 25-stage design.
   double stage_fp_floor = 0.55;
   int histogram_bins = 64;
-  int threads = 0;                    ///< OpenMP threads; 0 = library default
+  /// Host threads for the feature loops (caller included); 0 = the
+  /// process default pool (core::default_pool).
+  int threads = 0;
   std::uint64_t seed = 1;
 
   // --- durability (train/checkpoint.h) -----------------------------------
@@ -83,8 +86,9 @@ struct TrainResult {
 };
 
 /// Trains a cascade on a synthetic training set. Deterministic given
-/// options.seed and a single-threaded run; with OpenMP the feature argmin
-/// is reduced deterministically (by loss, then feature index).
+/// options.seed, whatever options.threads is: each feature loop keeps one
+/// argmin per fixed chunk and merges them in chunk order by (loss, then
+/// feature index).
 TrainResult train_cascade(const facegen::TrainingSet& set,
                           const TrainOptions& options,
                           const std::string& name);

@@ -1,8 +1,9 @@
 // SMP scaling model for the training-time study (paper Fig. 8).
 //
-// The reproduction host has a single core, so the paper's thread sweep
-// cannot produce wall-clock speedups here; the OpenMP code path is real
-// and exercised, but Fig. 8's *numbers* come from this calibrated model:
+// The reproduction host has neither the paper's Core 2 Quad nor its
+// i7-2600K, so its wall clock cannot reproduce the paper's thread sweep;
+// the trainer's thread-pool feature loops are real and exercised, but
+// Fig. 8's *numbers* come from this calibrated model:
 // Amdahl's law with a memory-bandwidth ceiling on the parallel section —
 // the regression/ranking serial fraction plus the bandwidth-bound feature
 // sweep reproduce the paper's ~3.5x saturation at 8 threads on both

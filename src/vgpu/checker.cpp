@@ -243,7 +243,7 @@ void Checker::end_lane(const LaneCtx& lane) {
   if (options_.global_allocations.empty()) {
     return;
   }
-  for (const LaneCtx::GlobalOp& op : lane.global_ops()) {
+  for (const GlobalOp& op : lane.global_ops()) {
     ++current_.global_ops_checked;
     const std::uint64_t end = op.addr + op.bytes;
     bool inside = false;

@@ -16,6 +16,23 @@
 // The scheduler (scheduler.h) later places block service times onto SMs to
 // obtain virtual timestamps; nothing here depends on wall-clock time.
 //
+// Warp reduction is slot-major over a per-warp arena (lane.h): the lanes of
+// a warp record their traces into one WarpArena, then one pass per trace
+// walks the slots — lanes issue their k-th access or branch together.
+// Bank conflicts take a per-bank touched bitmask and dedup only within a
+// bank, once per stretch of slots with an unchanged lane-delta pattern;
+// coalescing dedups 128-byte segments, skipping a lane that repeats its
+// neighbour's segment; divergence folds taken/not-taken per slot.
+//
+// Blocks are independent: an untapped launch with more than one block runs
+// its blocks on core::default_pool() workers, each with its own arena and
+// SharedMem, and phase functors may write only per-thread or per-block
+// host state. Blocks are cut into chunks by block count alone; chunk
+// counter partials and per-block cycle slots merge on the launching thread
+// in chunk and block order, so the cost is byte-identical for any thread
+// count and equal to the serial run that tapped launches (and single-block
+// ones) take.
+//
 // Every launch reports to the calling thread's launch-observer stack
 // (vgpu/tap.h): before_launch ahead of any check, lane events to the
 // innermost tap, after_launch once the cost is final.

@@ -1,7 +1,14 @@
 #include <gtest/gtest.h>
+#include <sched.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <mutex>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "core/check.h"
@@ -68,6 +75,78 @@ TEST(ThreadPool, ParallelForHandlesEmptyRange) {
   bool called = false;
   pool.parallel_for(0, [&](std::size_t, std::size_t) { called = true; });
   EXPECT_FALSE(called);
+}
+
+TEST(ThreadPool, NestedParallelForOnAWorkerRunsInline) {
+  // A task already on a worker calls parallel_for on its own pool: the
+  // chunks run inline on that worker, in order, instead of queueing
+  // behind (or waiting on) the pool's other workers.
+  ThreadPool pool(2);
+  std::vector<std::size_t> begins;
+  bool foreign = false;
+  pool.submit([&] {
+    const std::thread::id worker = std::this_thread::get_id();
+    pool.parallel_for(64, [&](std::size_t begin, std::size_t) {
+      foreign = foreign || std::this_thread::get_id() != worker;
+      begins.push_back(begin);
+    });
+  });
+  pool.wait_idle();
+  EXPECT_FALSE(foreign);
+  ASSERT_FALSE(begins.empty());
+  EXPECT_EQ(begins.front(), 0u);
+  EXPECT_TRUE(std::is_sorted(begins.begin(), begins.end()));
+}
+
+TEST(ThreadPool, CallingThreadRunsChunks) {
+  // The only worker is blocked until parallel_for returns, so the caller
+  // must run every chunk itself (and must not wait for the worker).
+  ThreadPool pool(1);
+  std::mutex gate;
+  std::unique_lock hold(gate);
+  pool.submit([&gate] { const std::lock_guard wait(gate); });
+  std::atomic<int> on_caller{0};
+  std::atomic<int> total{0};
+  const std::thread::id caller = std::this_thread::get_id();
+  pool.parallel_for(12, [&](std::size_t begin, std::size_t end) {
+    total.fetch_add(static_cast<int>(end - begin));
+    if (std::this_thread::get_id() == caller) {
+      on_caller.fetch_add(static_cast<int>(end - begin));
+    }
+  });
+  hold.unlock();
+  pool.wait_idle();
+  EXPECT_EQ(total.load(), 12);
+  EXPECT_EQ(on_caller.load(), 12);
+}
+
+TEST(ThreadPool, RethrowsTheLowestIndexedFailingChunk) {
+  // Chunks from 8 on fail; the lowest failing one is slowest to throw, so
+  // "first one wins" would report a later chunk than a serial loop.
+  ThreadPool pool(4);  // 16 chunks of 4
+  try {
+    pool.parallel_for(64, [](std::size_t begin, std::size_t) {
+      if (begin < 8) {
+        return;
+      }
+      if (begin == 8) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(30));
+      }
+      throw std::runtime_error(std::to_string(begin));
+    });
+    FAIL() << "expected the chunk failure to propagate";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "8");
+  }
+}
+
+TEST(ThreadPool, ZeroThreadsSizesFromCpuAffinity) {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  ASSERT_EQ(sched_getaffinity(0, sizeof set, &set), 0);
+  const ThreadPool pool(0);
+  EXPECT_EQ(pool.thread_count(), static_cast<std::size_t>(CPU_COUNT(&set)));
+  EXPECT_EQ(default_pool().thread_count(), pool.thread_count());
 }
 
 TEST(Stopwatch, MeasuresNonNegativeMonotonicTime) {

@@ -142,7 +142,7 @@ TEST_P(Conformance, CapabilityFlagsMatchTheFormat) {
 
 INSTANTIATE_TEST_SUITE_P(AllSources, Conformance,
                          ::testing::Values("h264", "raw", "mjpeg", "gif"),
-                         [](const auto& info) { return info.param; });
+                         [](const auto& test) { return test.param; });
 
 TEST(ConformanceCross, ContainerLumaMatchesTheDecoderOutput) {
   // The byte-stream encoders serialize the same synthetic footage the

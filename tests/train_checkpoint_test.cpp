@@ -255,8 +255,9 @@ TEST(TrainResume, KilledRunResumesBitIdentically) {
 
 TEST(TrainDeterminism, ThreadCountDoesNotChangeTheCascade) {
   // The satellite invariant behind excluding `threads` from the digest:
-  // the OpenMP feature argmin reduces deterministically (loss, then
-  // feature index), so any thread count reproduces the same cascade.
+  // the feature argmin keeps one partial per fixed chunk and merges them in
+  // chunk order (loss, then feature index), so any thread count
+  // reproduces the same cascade.
   const facegen::TrainingSet set = facegen::build_training_set(60, 10, 48, 7);
 
   std::string baseline;

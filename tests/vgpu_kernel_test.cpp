@@ -263,5 +263,103 @@ TEST(Executor, HigherOccupancyHidesMoreLatency) {
   EXPECT_GT(slow.total_service_cycles, fast.total_service_cycles);
 }
 
+/// A tap that observes nothing: in scope it only forces the serial path.
+class NoOpTap final : public LaunchTap {
+ public:
+  void begin_kernel(const DeviceSpec&, const KernelConfig&) override {}
+  void begin_block(const Dim3&) override {}
+  void begin_phase(int) override {}
+  void begin_lane(const Dim3&) override {}
+  void on_carve(std::size_t, std::size_t, std::size_t) override {}
+  void on_shared(std::size_t, std::uint32_t, bool) override {}
+  void on_unattributed_shared(std::uint32_t) override {}
+  void end_lane(const LaneCtx&) override {}
+  void end_phase() override {}
+  void end_kernel() override {}
+};
+
+/// Two-phase kernel over many blocks with partial warps, bank conflicts,
+/// scattered global accesses, divergent early exits and per-thread output.
+LaunchCost run_mixed_launch(std::vector<int>& out) {
+  const DeviceSpec spec = test_spec();
+  const KernelConfig config{.name = "mixed",
+                            .grid = {9, 7, 1},
+                            .block = {20, 5, 1},
+                            .shared_bytes = 100 * 4,
+                            .track_branches = true};
+  out.assign(static_cast<std::size_t>(9 * 7 * 100), -1);
+  return execute_kernel(
+      spec, config,
+      [](const ThreadCoord& t, LaneCtx& ctx, SharedMem& shared) {
+        auto tile = shared.array<int>(100);
+        const int i = t.flat_thread();
+        auto& cell = tile[static_cast<std::size_t>((i * 7) % 100)];
+        cell = i + static_cast<int>(t.flat_block());
+        ctx.shared_store_at(shared, cell);
+        ctx.global_load(static_cast<std::uint64_t>(t.flat_block()) * 4096 +
+                            static_cast<std::uint64_t>(i % 3) * 512 +
+                            static_cast<std::uint64_t>(i) * 4,
+                        4);
+        ctx.alu(1 + i % 5);
+      },
+      [&out](const ThreadCoord& t, LaneCtx& ctx, SharedMem& shared) {
+        auto tile = shared.array<int>(100);
+        const int i = t.flat_thread();
+        int acc = 0;
+        for (int k = 0; k < 1 + (i + static_cast<int>(t.flat_block())) % 6;
+             ++k) {
+          const auto& cell = tile[static_cast<std::size_t>((i + 32 * k) % 100)];
+          acc += cell;
+          ctx.shared_load_at(shared, cell);
+          const bool keep = (acc + k) % 3 != 0;
+          ctx.branch(keep);
+          if (!keep) {
+            break;
+          }
+        }
+        out[static_cast<std::size_t>(t.flat_block() * 100 + i)] = acc;
+        ctx.global_store(static_cast<std::uint64_t>(t.flat_block() * 100 + i) * 4,
+                         4);
+      });
+}
+
+TEST(Executor, ParallelLaunchEqualsSerialTappedLaunch) {
+  std::vector<int> parallel_out;
+  const LaunchCost parallel = run_mixed_launch(parallel_out);
+  std::vector<int> serial_out;
+  NoOpTap tap;
+  LaunchCost serial;
+  {
+    const ScopedLaunchObserver scope(tap);
+    serial = run_mixed_launch(serial_out);
+  }
+  EXPECT_EQ(parallel_out, serial_out);
+  EXPECT_EQ(parallel.block_service_cycles, serial.block_service_cycles);
+  EXPECT_EQ(parallel.total_service_cycles, serial.total_service_cycles);
+  const PerfCounters& p = parallel.counters;
+  const PerfCounters& s = serial.counters;
+  EXPECT_EQ(p.threads, s.threads);
+  EXPECT_EQ(p.warps, s.warps);
+  EXPECT_EQ(p.warp_branches, s.warp_branches);
+  EXPECT_EQ(p.divergent_branches, s.divergent_branches);
+  EXPECT_EQ(p.global_read_bytes, s.global_read_bytes);
+  EXPECT_EQ(p.global_write_bytes, s.global_write_bytes);
+  EXPECT_EQ(p.global_transactions, s.global_transactions);
+  EXPECT_EQ(p.alu_ops, s.alu_ops);
+  EXPECT_EQ(p.shared_accesses, s.shared_accesses);
+  EXPECT_EQ(p.bank_conflicts, s.bank_conflicts);
+  EXPECT_EQ(p.lane_issue_cycles, s.lane_issue_cycles);
+  EXPECT_EQ(p.warp_issue_cycles, s.warp_issue_cycles);
+  EXPECT_EQ(p.issue_service_cycles, s.issue_service_cycles);
+  EXPECT_EQ(p.stall_service_cycles, s.stall_service_cycles);
+  EXPECT_EQ(p.stall_base_cycles, s.stall_base_cycles);
+  EXPECT_EQ(p.divergence_cycles, s.divergence_cycles);
+  EXPECT_EQ(p.bank_conflict_cycles, s.bank_conflict_cycles);
+  // The kernel exercises what the comparison is about.
+  EXPECT_GT(p.bank_conflicts, 0u);
+  EXPECT_GT(p.divergent_branches, 0u);
+  EXPECT_GT(p.global_transactions, p.warps);
+}
+
 }  // namespace
 }  // namespace fdet::vgpu
